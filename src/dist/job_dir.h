@@ -97,7 +97,7 @@ class JobDir {
   /// instead of poisoning the reduction.
   std::vector<int> validate_results() const;
 
-  /// Remove orphaned `*.tmp.<pid>` staging files (write_json_atomic
+  /// Remove orphaned `*.tmp.<pid>.<n>` staging files (write_json_atomic
   /// leftovers from crashed writers) older than `min_age` from the job's
   /// root, results/ and leases/ directories. The age guard keeps a live
   /// writer's in-flight tmp safe; open() sweeps automatically.

@@ -1,9 +1,28 @@
 #include "models/feature_cache.h"
 
+#include "models/fingerprint.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 
 namespace fsa::models {
+
+namespace {
+
+// The fingerprint is stored beside the features as four 16-bit chunks, each
+// an exactly representable float, so the file stays a plain tensor list.
+Tensor key_tensor(std::uint64_t key) {
+  Tensor t(Shape({4}));
+  for (std::size_t i = 0; i < 4; ++i) t[i] = static_cast<float>((key >> (16 * i)) & 0xffffU);
+  return t;
+}
+
+}  // namespace
+
+std::uint64_t features_fingerprint(nn::Sequential& net, std::size_t cut, const Tensor& images) {
+  Fingerprint fp;
+  for (std::size_t i = 0; i < cut; ++i) fp.params(net.layer(i).params());
+  return fp.tensor(images).value();
+}
 
 Tensor compute_features(nn::Sequential& net, std::size_t cut, const Tensor& images,
                         std::int64_t batch_size) {
@@ -33,12 +52,22 @@ Tensor compute_features(nn::Sequential& net, std::size_t cut, const Tensor& imag
 
 Tensor cached_features(nn::Sequential& net, std::size_t cut, const Tensor& images,
                        const std::string& cache_path, std::int64_t batch_size) {
+  const Tensor key = key_tensor(features_fingerprint(net, cut, images));
   if (io::file_exists(cache_path)) {
-    auto tensors = io::load_tensors(cache_path);
-    if (tensors.size() == 1 && tensors[0].dim(0) == images.dim(0)) return tensors[0];
+    try {
+      auto tensors = io::load_tensors(cache_path);
+      if (tensors.size() == 2 && tensors[1] == key && tensors[0].dim(0) == images.dim(0))
+        return std::move(tensors[0]);
+    } catch (const std::exception&) {
+      // A file that fails to load (or holds a rank-0 tensor) is a miss.
+    }
   }
   Tensor feats = compute_features(net, cut, images, batch_size);
-  io::save_tensors(cache_path, {feats});
+  try {
+    io::save_tensors(cache_path, {feats, key});
+  } catch (const std::exception&) {
+    // An unwritable cache only costs the next process a recompute.
+  }
   return feats;
 }
 

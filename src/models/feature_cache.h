@@ -8,6 +8,7 @@
 // between seconds and hours for the R=1000 sweeps on one CPU core.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "data/dataset.h"
@@ -20,8 +21,15 @@ namespace fsa::models {
 Tensor compute_features(nn::Sequential& net, std::size_t cut, const Tensor& images,
                         std::int64_t batch_size = 64);
 
-/// Same, but memoized on disk: if `cache_path` exists it is loaded instead
-/// of recomputed (callers key the path by model/dataset/cut identity).
+/// FNV-1a fingerprint of what the features at `cut` depend on: the
+/// parameters of layers [0, cut) and the images.
+std::uint64_t features_fingerprint(nn::Sequential& net, std::size_t cut, const Tensor& images);
+
+/// Same as compute_features, but memoized on disk. `cache_path` holds the
+/// features plus the features_fingerprint they were built from; they are
+/// served only when that fingerprint matches, so features of older weights
+/// or other images are never reused. A missing, stale or unreadable file is
+/// recomputed and rewritten (callers key the path by model/dataset/cut).
 Tensor cached_features(nn::Sequential& net, std::size_t cut, const Tensor& images,
                        const std::string& cache_path, std::int64_t batch_size = 64);
 

@@ -1,16 +1,69 @@
 #include "models/model_zoo.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <optional>
 
 #include "data/synth_digits.h"
 #include "data/synth_objects.h"
 #include "models/cw_net.h"
+#include "models/fingerprint.h"
 #include "optim/adam.h"
 #include "optim/trainer.h"
 #include "tensor/serialize.h"
 
 namespace fsa::models {
+
+namespace {
+
+// The memo is three text lines:
+//   fsa-zoo-accuracy 1
+//   fingerprint <16 hex digits>
+//   test_accuracy <%.17g>
+// %.17g round-trips the double exactly, so a hit returns the same bits the
+// full pass would.
+std::string memo_header(std::uint64_t fingerprint) {
+  char text[80];
+  std::snprintf(text, sizeof(text), "fsa-zoo-accuracy 1\nfingerprint %016llx\ntest_accuracy ",
+                static_cast<unsigned long long>(fingerprint));
+  return text;
+}
+
+std::optional<double> read_accuracy_memo(const std::string& path, std::uint64_t fingerprint) {
+  std::string text;
+  try {
+    std::ifstream is(path, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(is), {});
+  } catch (const std::exception&) {
+    return std::nullopt;  // e.g. a directory where the memo should be
+  }
+  const std::string header = memo_header(fingerprint);
+  // Another version or fingerprint, or a file cut before its final newline.
+  if (!text.starts_with(header) || !text.ends_with('\n')) return std::nullopt;
+  const char* number = text.c_str() + header.size();
+  char* end = nullptr;
+  const double acc = std::strtod(number, &end);
+  if (end == number || end != text.c_str() + text.size() - 1 || !(acc >= 0.0 && acc <= 1.0))
+    return std::nullopt;
+  return acc;
+}
+
+/// Best effort: a memo that cannot be written costs the next process an
+/// accuracy pass, nothing more.
+void write_accuracy_memo(const std::string& path, std::uint64_t fingerprint, double accuracy) {
+  char number[32];
+  std::snprintf(number, sizeof(number), "%.17g\n", accuracy);
+  try {
+    io::write_file_atomic(path, [&](std::ostream& os) { os << memo_header(fingerprint) << number; });
+  } catch (const std::exception&) {
+    // Read-only or full cache directory: keep going without the memo.
+  }
+}
+
+}  // namespace
 
 std::string default_cache_dir() {
   if (const char* env = std::getenv("FSA_CACHE_DIR"); env != nullptr && *env != '\0') return env;
@@ -31,35 +84,31 @@ ZooModel& ModelZoo::objects() {
   return *objects_;
 }
 
+data::Dataset ModelZoo::synth(const std::string& name, std::int64_t count,
+                             std::uint64_t role) const {
+  // Three disjoint deterministic seeds per dataset: 1 train, 2 test, 3 pool.
+  if (name == "digits") {
+    data::SynthDigitsConfig dc;
+    dc.count = count;
+    dc.seed = 100 + role;
+    return data::make_synth_digits(dc);
+  }
+  data::SynthObjectsConfig oc;
+  oc.count = count;
+  oc.seed = 200 + role;
+  return data::make_synth_objects(oc);
+}
+
+data::Dataset ModelZoo::train_set(const std::string& name) const {
+  return synth(name, cfg_.train_count, 1);
+}
+
 ZooModel ModelZoo::build(const std::string& name) {
   const bool is_digits = name == "digits";
   ZooModel m;
   m.name = name;
-
-  // --- data (three disjoint deterministic seeds per dataset) ---------------
-  if (is_digits) {
-    data::SynthDigitsConfig dc;
-    dc.count = cfg_.train_count;
-    dc.seed = 101;
-    m.train = data::make_synth_digits(dc);
-    dc.count = cfg_.test_count;
-    dc.seed = 102;
-    m.test = data::make_synth_digits(dc);
-    dc.count = cfg_.pool_count;
-    dc.seed = 103;
-    m.attack_pool = data::make_synth_digits(dc);
-  } else {
-    data::SynthObjectsConfig oc;
-    oc.count = cfg_.train_count;
-    oc.seed = 201;
-    m.train = data::make_synth_objects(oc);
-    oc.count = cfg_.test_count;
-    oc.seed = 202;
-    m.test = data::make_synth_objects(oc);
-    oc.count = cfg_.pool_count;
-    oc.seed = 203;
-    m.attack_pool = data::make_synth_objects(oc);
-  }
+  m.test = synth(name, cfg_.test_count, 2);
+  m.attack_pool = synth(name, cfg_.pool_count, 3);
 
   // --- model ----------------------------------------------------------------
   CwNetConfig nc;
@@ -73,6 +122,7 @@ ZooModel ModelZoo::build(const std::string& name) {
     m.net.load_params(param_path);
   } else {
     if (cfg_.verbose) std::printf("[zoo] training %s model (cached at %s)...\n", name.c_str(), param_path.c_str());
+    m.train = train_set(name);
     optim::Adam opt(m.net.params(), 1e-3);
     optim::Trainer trainer(m.net, opt);
     optim::TrainConfig tc;
@@ -88,7 +138,17 @@ ZooModel ModelZoo::build(const std::string& name) {
     trainer.fit(m.train, tc);
     m.net.save_params(param_path);
   }
-  m.test_accuracy = optim::Trainer::accuracy(m.net, m.test);
+
+  // --- test accuracy, memoized by the fingerprint of weights + test set -----
+  const std::uint64_t fp =
+      Fingerprint().params(m.net.params()).tensor(m.test.images()).labels(m.test.labels()).value();
+  const std::string memo_path = cfg_.cache_dir + "/" + name + "_cwnet.acc";
+  if (const auto memo = read_accuracy_memo(memo_path, fp)) {
+    m.test_accuracy = *memo;
+  } else {
+    m.test_accuracy = optim::Trainer::accuracy(m.net, m.test);
+    write_accuracy_memo(memo_path, fp, m.test_accuracy);
+  }
   if (cfg_.verbose)
     std::printf("[zoo] %s model ready: test accuracy %.4f\n", name.c_str(), m.test_accuracy);
   return m;

@@ -6,6 +6,7 @@
 // that every bench/example after the first run starts instantly.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -18,10 +19,17 @@ namespace fsa::io {
 void write_tensor(std::ostream& os, const Tensor& t);
 
 /// Read one tensor written by write_tensor. Throws std::runtime_error on
-/// malformed input.
+/// malformed input, including a header whose element count overflows or
+/// needs more bytes than the stream has left.
 Tensor read_tensor(std::istream& is);
 
-/// Write a whole list of tensors (count-prefixed) to `path`.
+/// Run `write` on a temp file in the directory of `path` (created if
+/// missing), then rename it over `path`: a concurrent reader sees the old
+/// file or the new one, never a torn one. Throws std::runtime_error (or
+/// whatever `write` throws) and leaves no temp file behind on failure.
+void write_file_atomic(const std::string& path, const std::function<void(std::ostream&)>& write);
+
+/// Write a whole list of tensors (count-prefixed) to `path`, atomically.
 void save_tensors(const std::string& path, const std::vector<Tensor>& tensors);
 
 /// Read a list written by save_tensors.

@@ -18,12 +18,11 @@
 #include "eval/attack_bench.h"
 #include "tensor/ops.h"
 #include "tensor/parallel.h"
+#include "scratch_dir.h"
 #include "test_util.h"
 
 namespace fsa::engine {
 namespace {
-
-namespace fs = std::filesystem;
 
 // ---- fixture: a ZooModel around the fast blob substrate ----------------------
 
@@ -32,8 +31,7 @@ struct Fixture {
   std::string cache_dir;
 
   Fixture() {
-    cache_dir = ::testing::TempDir() + "fsa_arena_test";
-    fs::remove_all(cache_dir);
+    cache_dir = testutil::scratch_path("fsa_arena_test");
     model.name = "blobs";
     model.net = testutil::make_blob_net(6);
     model.train = testutil::make_blobs(600, 21);
@@ -292,8 +290,8 @@ std::vector<SweepSpec> arena_grid() {
 
 TEST(ArenaJob, ShardedReduceByteIdenticalToSingleShardIncludingFrontier) {
   auto& f = fixture();
-  const std::string scratch = ::testing::TempDir() + "fsa_arena_job";
-  fs::remove_all(scratch);
+  const testutil::Scratch scratch_dir("fsa_arena_job");
+  const std::string scratch = scratch_dir.dir.string();
   const std::vector<SweepSpec> specs = arena_grid();
   const eval::Json manifest = dist::arena_manifest("blobs", backend::active_name(), specs);
   ASSERT_EQ(manifest.get_int("shards", 0), static_cast<std::int64_t>(specs.size()));
@@ -330,7 +328,6 @@ TEST(ArenaJob, ShardedReduceByteIdenticalToSingleShardIncludingFrontier) {
   for (const eval::Json& row : sharded_reduced.at("rows").items())
     EXPECT_TRUE(row.has("defense")) << row.dump();
   EXPECT_EQ(sharded_reduced.at("frontier").size(), 4u);
-  fs::remove_all(scratch);
 }
 
 TEST(ArenaJob, ReducedRowsByteIdenticalForOneAndFourThreads) {

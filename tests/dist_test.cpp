@@ -45,6 +45,7 @@
 #include "faultsim/profile.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "scratch_dir.h"
 #include "test_util.h"
 
 namespace fsa::dist {
@@ -52,36 +53,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// This process's own directory under TempDir(), made by mkdtemp and
-/// removed at exit: concurrent dist_test runs never share (or remove_all)
-/// each other's scratch directories or blob caches.
-const fs::path& process_root() {
-  static const struct Root {
-    fs::path dir;
-    Root() {
-      std::string tmpl = ::testing::TempDir() + "fsa_dist_test.XXXXXX";
-      if (::mkdtemp(tmpl.data()) == nullptr) throw std::runtime_error("mkdtemp failed");
-      dir = tmpl;
-    }
-    ~Root() {
-      std::error_code ec;
-      fs::remove_all(dir, ec);
-    }
-  } root;
-  return root.dir;
-}
-
-/// Fresh scratch directory per test, removed on destruction.
-struct Scratch {
-  fs::path dir;
-  explicit Scratch(const std::string& name) {
-    dir = process_root() / name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-  }
-  ~Scratch() { fs::remove_all(dir); }
-  [[nodiscard]] std::string sub(const std::string& name) const { return (dir / name).string(); }
-};
+using testutil::process_root;
+using testutil::Scratch;
 
 /// Restores built-in injector parameters when a profile test returns.
 struct ProfileGuard {

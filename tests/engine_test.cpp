@@ -12,6 +12,7 @@
 #include "engine/sweep.h"
 #include "tensor/ops.h"
 #include "tensor/parallel.h"
+#include "scratch_dir.h"
 #include "test_util.h"
 
 namespace fsa::engine {
@@ -24,8 +25,7 @@ struct Fixture {
   std::string cache_dir;
 
   Fixture() {
-    cache_dir = ::testing::TempDir() + "fsa_engine_test";
-    std::filesystem::remove_all(cache_dir);
+    cache_dir = testutil::scratch_path("fsa_engine_test");
     model.name = "blobs";
     model.net = testutil::make_blob_net(6);
     model.train = testutil::make_blobs(600, 21);

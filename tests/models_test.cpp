@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "models/cw_net.h"
 #include "models/feature_cache.h"
+#include "scratch_dir.h"
 #include "tensor/ops.h"
+#include "tensor/serialize.h"
 #include "test_util.h"
 
 namespace fsa::models {
@@ -85,15 +88,65 @@ TEST(FeatureCache, DiskCacheRoundTrip) {
   nn::Sequential net = testutil::make_blob_net(9);
   Rng rng(4);
   const Tensor images = Tensor::randn(Shape({6, 1, 1, testutil::kBlobDim}), rng);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fsa_featcache_test.bin").string();
-  std::filesystem::remove(path);
+  const testutil::Scratch scratch("fsa_featcache_roundtrip");
+  const std::string path = scratch.sub("features.bin");
   const std::size_t cut = net.index_of("fc2");
   const Tensor first = cached_features(net, cut, images, path);
   EXPECT_TRUE(std::filesystem::exists(path));
   const Tensor second = cached_features(net, cut, images, path);
   EXPECT_EQ(first, second);
-  std::filesystem::remove(path);
+}
+
+TEST(FeatureCache, StaleEntryIsRecomputed) {
+  // Features are keyed by the prefix weights and the images: an entry built
+  // from other weights or other images is never served.
+  nn::Sequential net = testutil::make_blob_net(9);
+  Rng rng(4);
+  const Tensor images = Tensor::randn(Shape({6, 1, 1, testutil::kBlobDim}), rng);
+  const testutil::Scratch scratch("fsa_featcache_stale");
+  const std::string path = scratch.sub("features.bin");
+  const std::size_t cut = net.index_of("fc2");
+  const Tensor first = cached_features(net, cut, images, path);
+
+  nn::Sequential retrained = testutil::make_blob_net(10);
+  EXPECT_EQ(cached_features(retrained, cut, images, path),
+            compute_features(retrained, cut, images));
+  EXPECT_NE(compute_features(retrained, cut, images), first);
+
+  const Tensor other_images = Tensor::randn(Shape({6, 1, 1, testutil::kBlobDim}), rng);
+  EXPECT_EQ(cached_features(retrained, cut, other_images, path),
+            compute_features(retrained, cut, other_images));
+
+  // Parameters at or after the cut are not in the key: changing the head
+  // keeps the entry valid.
+  const std::uint64_t key = features_fingerprint(retrained, cut, other_images);
+  retrained.layer(cut).params()[0]->value()[0] += 1.0f;
+  EXPECT_EQ(features_fingerprint(retrained, cut, other_images), key);
+}
+
+TEST(FeatureCache, UnreadableEntryIsAMiss) {
+  nn::Sequential net = testutil::make_blob_net(9);
+  Rng rng(4);
+  const Tensor images = Tensor::randn(Shape({6, 1, 1, testutil::kBlobDim}), rng);
+  const std::size_t cut = net.index_of("fc2");
+  const Tensor truth = compute_features(net, cut, images);
+  const testutil::Scratch scratch("fsa_featcache_bad");
+  const std::string path = scratch.sub("features.bin");
+  // A features file without a key (the older one-tensor layout) is a miss.
+  io::save_tensors(path, {Tensor::zeros(truth.shape())});
+  EXPECT_EQ(cached_features(net, cut, images, path), truth);
+  std::ifstream written(path, std::ios::binary);
+  const std::string valid(std::istreambuf_iterator<char>(written), {});
+  // So are a file cut short and bytes that are not a tensor list at all.
+  for (const std::string& bytes :
+       {valid.substr(0, valid.size() / 2), std::string("garbage, not a tensor list")}) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    Tensor feats;
+    EXPECT_NO_THROW(feats = cached_features(net, cut, images, path));
+    EXPECT_EQ(feats, truth);
+    std::ifstream is(path, std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(is), {}), valid);
+  }
 }
 
 TEST(FeatureCache, HeadPredictionsMatchFullArgmax) {

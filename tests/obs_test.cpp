@@ -18,6 +18,7 @@
 #include "eval/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "scratch_dir.h"
 
 namespace fsa::obs {
 namespace {
@@ -124,7 +125,7 @@ TEST(Trace, TagIsCapturedAndRenderedAsArgs) {
 TEST(Trace, WriteChromeTraceProducesParseableFile) {
   TraceGuard guard;
   { OBS_SPAN("obs_test.to_file"); }
-  const std::string path = ::testing::TempDir() + "fsa_obs_trace_test.json";
+  const std::string path = testutil::scratch_path("fsa_obs_trace_test.json");
   write_chrome_trace(path);
   const eval::Json doc = dist::read_json_file(path);
   EXPECT_TRUE(doc.has("traceEvents"));
@@ -311,8 +312,8 @@ TEST(Telemetry, MergeKeepsFirstHistogramOnBoundsMismatch) {
 }
 
 TEST(Telemetry, MergeJobTelemetryFoldsSidecarsOutsideReduced) {
-  const std::string dir = ::testing::TempDir() + "fsa_obs_merge_job";
-  fs::remove_all(dir);
+  const testutil::Scratch scratch("fsa_obs_merge_job");
+  const std::string dir = scratch.sub("job");
   eval::Json manifest = eval::Json::object();
   manifest.set("shards", eval::Json::number(std::int64_t{3}));
   const dist::JobDir job = dist::JobDir::create(dir, "sweep", 3, manifest);
@@ -330,13 +331,10 @@ TEST(Telemetry, MergeJobTelemetryFoldsSidecarsOutsideReduced) {
   EXPECT_FALSE(fs::is_regular_file(job.reduced_path(), ec));
 
   // No sidecars at all -> no telemetry.json, return 0.
-  const std::string empty_dir = ::testing::TempDir() + "fsa_obs_merge_none";
-  fs::remove_all(empty_dir);
+  const std::string empty_dir = scratch.sub("none");
   const dist::JobDir none = dist::JobDir::create(empty_dir, "sweep", 2, manifest);
   EXPECT_EQ(dist::merge_job_telemetry(none), 0);
   EXPECT_FALSE(fs::is_regular_file(none.telemetry_path(), ec));
-  fs::remove_all(dir);
-  fs::remove_all(empty_dir);
 }
 
 // ---- Json::remove (the reducer's convergence scrub) --------------------------

@@ -3,15 +3,36 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
+#include "scratch_dir.h"
 #include "tensor/serialize.h"
 
 namespace fsa {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+std::string temp_path(const std::string& name) { return testutil::scratch_path(name); }
+
+/// A stream holding one tensor header with the given dims and `data_bytes`
+/// bytes after it.
+std::stringstream header_stream(const std::vector<std::int64_t>& dims, std::size_t data_bytes) {
+  std::stringstream ss;
+  ss.write("FSAT", 4);
+  const std::uint32_t version = 1;
+  const auto rank = static_cast<std::uint32_t>(dims.size());
+  ss.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  ss.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
+  for (const std::int64_t d : dims) ss.write(reinterpret_cast<const char*>(&d), sizeof(d));
+  ss << std::string(data_bytes, '\0');
+  return ss;
+}
+
+std::size_t temp_files_in(const std::string& dir) {
+  std::size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    if (e.path().filename().string().find(".tmp.") != std::string::npos) ++n;
+  return n;
 }
 
 TEST(Serialize, StreamRoundTrip) {
@@ -46,6 +67,62 @@ TEST(Serialize, TruncatedDataThrows) {
   bytes.resize(bytes.size() / 2);
   std::stringstream cut(bytes);
   EXPECT_THROW(io::read_tensor(cut), std::runtime_error);
+}
+
+TEST(Serialize, OverflowingDimProductThrows) {
+  // A 44-byte blob file: one tensor whose dims {2000, 2^32, 2^32} wrap the
+  // element count to 0 without the check.
+  const testutil::Scratch scratch("fsa_serialize_overflow");
+  const std::string path = scratch.sub("hostile.bin");
+  {
+    const std::uint64_t count = 1;
+    std::ofstream os(path, std::ios::binary);
+    os.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    os << header_stream({2000, 1LL << 32, 1LL << 32}, 0).rdbuf();
+  }
+  ASSERT_EQ(std::filesystem::file_size(path), 44u);
+  try {
+    (void)io::load_tensors(path);
+    FAIL() << "an overflowing header must not load";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("overflow"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Serialize, HeaderLargerThanStreamThrows) {
+  // 2^31 floats declared, 16 bytes present: rejected before allocating.
+  std::stringstream ss = header_stream({1LL << 16, 1LL << 15}, 16);
+  try {
+    (void)io::read_tensor(ss);
+    FAIL() << "a header promising more bytes than the stream has must not load";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("stream has 16"), std::string::npos) << e.what();
+  }
+  // Exactly enough bytes still loads.
+  std::stringstream exact = header_stream({2, 3}, 6 * sizeof(float));
+  EXPECT_EQ(io::read_tensor(exact).shape(), Shape({2, 3}));
+}
+
+TEST(Serialize, SaveReplacesAtomically) {
+  const testutil::Scratch scratch("fsa_serialize_atomic");
+  const std::string path = scratch.sub("blob.bin");
+  const Tensor old_value = Tensor::full(Shape({3}), 1.0f);
+  io::save_tensors(path, {old_value});
+  EXPECT_EQ(temp_files_in(scratch.dir.string()), 0u);
+  // A write that fails half way leaves the old file whole and no temp file.
+  EXPECT_THROW(io::write_file_atomic(path,
+                                     [](std::ostream& os) {
+                                       os << "partial";
+                                       throw std::runtime_error("disk full");
+                                     }),
+               std::runtime_error);
+  const auto back = io::load_tensors(path);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0], old_value);
+  EXPECT_EQ(temp_files_in(scratch.dir.string()), 0u);
+  // A successful save replaces the content.
+  io::save_tensors(path, {Tensor::full(Shape({2}), 2.0f)});
+  EXPECT_EQ(io::load_tensors(path)[0], Tensor::full(Shape({2}), 2.0f));
 }
 
 TEST(Serialize, FileListRoundTrip) {

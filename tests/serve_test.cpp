@@ -35,6 +35,7 @@
 #include "serve/zoo.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
+#include "scratch_dir.h"
 #include "test_util.h"
 
 namespace fsa::serve {
@@ -365,8 +366,7 @@ struct Fixture {
   std::string cache_dir;
 
   Fixture() {
-    cache_dir = ::testing::TempDir() + "fsa_serve_test";
-    std::filesystem::remove_all(cache_dir);
+    cache_dir = testutil::scratch_path("fsa_serve_test");
     model.name = "blobs";
     model.net = testutil::make_blob_net(6);
     model.train = testutil::make_blobs(600, 21);

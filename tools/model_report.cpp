@@ -12,11 +12,13 @@
 
 namespace {
 
-void report(fsa::models::ZooModel& m) {
+void report(const fsa::models::ModelZoo& zoo, fsa::models::ZooModel& m) {
   using fsa::optim::Trainer;
+  // A cached model comes without its train set; rebuild it for the report.
+  const fsa::data::Dataset train = zoo.train_set(m.name);
   std::printf("%s: train %.4f  test %.4f  pool %.4f  (n=%lld/%lld/%lld)\n", m.name.c_str(),
-              Trainer::accuracy(m.net, m.train), Trainer::accuracy(m.net, m.test),
-              Trainer::accuracy(m.net, m.attack_pool), static_cast<long long>(m.train.size()),
+              Trainer::accuracy(m.net, train), Trainer::accuracy(m.net, m.test),
+              Trainer::accuracy(m.net, m.attack_pool), static_cast<long long>(train.size()),
               static_cast<long long>(m.test.size()), static_cast<long long>(m.attack_pool.size()));
 }
 
@@ -25,7 +27,8 @@ void report(fsa::models::ZooModel& m) {
 int main(int argc, char** argv) {
   const char* which = argc > 1 ? argv[1] : "both";
   fsa::models::ModelZoo zoo;
-  if (std::strcmp(which, "digits") == 0 || std::strcmp(which, "both") == 0) report(zoo.digits());
-  if (std::strcmp(which, "objects") == 0 || std::strcmp(which, "both") == 0) report(zoo.objects());
+  const bool both = std::strcmp(which, "both") == 0;
+  if (both || std::strcmp(which, "digits") == 0) report(zoo, zoo.digits());
+  if (both || std::strcmp(which, "objects") == 0) report(zoo, zoo.objects());
   return 0;
 }
